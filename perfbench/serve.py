@@ -22,6 +22,7 @@ import json
 import os
 import resource
 import sys
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -173,6 +174,13 @@ async def main(args) -> None:
         "index_mb": index_mb,
     }
     print("READY " + json.dumps(ready), flush=True)
+    # The run holds our stdin open; if it dies without a stop command,
+    # EOF there stops this process instead of orphaning it.
+    loop = asyncio.get_running_loop()
+    threading.Thread(
+        target=lambda: (sys.stdin.read(), loop.call_soon_threadsafe(control.stopped.set)),
+        daemon=True,
+    ).start()
     try:
         await control.stopped.wait()
     finally:

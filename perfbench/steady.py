@@ -4,7 +4,7 @@ Usage (from the root of a checkout)::
 
     python3 perfbench/steady.py --workload hot-twigs --runs 10
 
-Spread is (Q3 - Q1) / median over the runs, quartiles as
+Seeds are 1 to ``--runs``.  Spread is (Q3 - Q1) / median over the runs, quartiles as
 ``statistics.quantiles(values, n=4)`` gives them, compared with each
 end-to-end metric's ``bound`` in ``BENCHMARK.json``.  Runs are
 sequential: concurrent runs would measure each other.
@@ -29,13 +29,12 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True)
     parser.add_argument("--runs", type=int, default=10)
-    parser.add_argument("--first-seed", type=int, default=1)
     args = parser.parse_args()
     with open(os.path.join(ROOT, "BENCHMARK.json")) as handle:
         config = json.load(handle)
     bounds = {metric["name"]: metric["bound"] for metric in config["end_to_end"]}
     values: dict[str, list[float]] = {}
-    for seed in range(args.first_seed, args.first_seed + args.runs):
+    for seed in range(1, args.runs + 1):
         completed = subprocess.run(
             config["command"] + [
                 "--workload", args.workload, "--seed", str(seed),
