@@ -203,6 +203,16 @@ def windowed_rate(times: Sequence[float], start: float, end: float, width: float
     return statistics.median(count / width for count in counts)
 
 
+def stolen_share(before: tuple[int, int], after: tuple[int, int]) -> float:
+    """Share of the CPU time the guest wanted that the host took instead.
+
+    ``before`` and ``after`` are ``(steal, busy)`` tick counters; the
+    share is steal / (steal + busy) between them, 0 when neither moved.
+    """
+    steal, busy = after[0] - before[0], after[1] - before[1]
+    return steal / (steal + busy) if steal + busy else 0.0
+
+
 def quartile_spread(values: Sequence[float]) -> float:
     """(Q3 - Q1) / median, with Python's default ``statistics.quantiles``."""
     q1, median, q3 = statistics.quantiles(values, n=4)

@@ -36,9 +36,6 @@ class Workload:
     docs: int
     scale: float
     query_rate: float
-    #: Writes per second beside the reads (0: the reads run alone and a
-    #: separate write phase follows them).
-    churn_rate: float = 0.0
     #: Reads are drawn from a never-repeating stream, not the 16 queries.
     cold: bool = False
 
@@ -57,14 +54,17 @@ WORKLOADS = {
         Workload("hot-twigs", docs=4, scale=0.12, query_rate=100.0),
         # Planner, kernels and storage: no query repeats, so no cache helps.
         Workload("cold-twigs", docs=6, scale=0.12, query_rate=60.0, cold=True),
-        # The hot mix beside writes that flush a shard's caches.
-        Workload("churn-twigs", docs=4, scale=0.12, query_rate=100.0, churn_rate=10.0),
     )
 }
 
-#: Writes of the separate write phase of read-only workloads.
+#: Writes of the write phase that follows the reads of a measurement.
 WRITE_PHASE_OPS = 300
 WRITE_PHASE_RATE = 50.0
+#: Measurements per run at most: one the host disturbed is measured
+#: again on the same server.
+ATTEMPTS = 4
+#: Writes scheduled for a run: enough for every measurement.
+WRITE_COUNT = ATTEMPTS * WRITE_PHASE_OPS
 
 
 def _rng(seed: int, stream: str) -> random.Random:
@@ -97,22 +97,25 @@ def xmark_corpus(workload: Workload, seed: int) -> list:
 
 
 # ----------------------------------------------------------------------
-# hot-twigs / churn-twigs: the paper's XMark queries, skewed
+# hot-twigs: the paper's XMark queries, skewed
 # ----------------------------------------------------------------------
 def hot_queries() -> list[str]:
     """The paper's 16 XMark twig queries."""
     return [query.xpath for query in queries_for_dataset("xmark")]
 
 
-def hot_stream(seed: int, count: int, skew: float = 1.1) -> list[str]:
-    """``count`` seeded picks from :func:`hot_queries`, Zipf(``skew``) by paper order.
+#: Zipf exponent of the hot query popularity.
+HOT_SKEW = 1.1
+
+
+def hot_stream(seed: int, count: int) -> list[str]:
+    """``count`` seeded picks from :func:`hot_queries`, Zipf(``HOT_SKEW``) by paper order.
 
     The popularity ranking is fixed, so seeds vary the order of the
-    requests, not which queries are hot (on churn-twigs that decides
-    what a cache flush costs).
+    requests, not which queries are hot.
     """
     queries = hot_queries()
-    weights = [1.0 / (rank + 1) ** skew for rank in range(len(queries))]
+    weights = [1.0 / (rank + 1) ** HOT_SKEW for rank in range(len(queries))]
     return _rng(seed, "hot").choices(queries, weights=weights, k=count)
 
 

@@ -33,18 +33,18 @@ LAYER_METRICS = (
      "query_p50_ms on hot-twigs"),
     ("shard.leg_wait_ms_p50", "ms", "execute start -> each Shard.execute start", "query_p50_ms on hot-twigs"),
     ("shard.leg_skew_ms_p99", "ms", "slowest - fastest leg of one query",
-     "query_p90_ms on cold-twigs and churn-twigs"),
+     "query_p90_ms on cold-twigs"),
     ("shard.legs_per_query", "count", "Shard.execute spans per sharded execute",
-     "query_p90_ms on cold-twigs and churn-twigs"),
+     "query_p90_ms on cold-twigs"),
     ("service.execute_self_ms_p50", "ms", "QueryService.execute - parse_xpath - execute_prepared",
      "query_p50_ms on hot-twigs and cold-twigs"),
     ("service.result_hit_ratio", "ratio", "per-shard result cache hits / lookups", "query_p50_ms on each"),
     ("service.plan_hit_ratio", "ratio", "per-shard plan cache hits / lookups", "query_p50_ms on each"),
     ("service.choice_hit_ratio", "ratio", "per-shard choice cache hits / lookups", "query_p50_ms on each"),
     ("service.write_self_ms_p50", "ms", "QueryService add/replace/remove_document - maintain_indexes",
-     "write_p50_ms, query_p90_ms on churn-twigs"),
+     "write_p50_ms on all"),
     ("service.invalidations_per_write", "count", "shard service invalidations / writes",
-     "query_p90_ms on churn-twigs"),
+     "write_p50_ms on all"),
     ("query.parse_ms_p50", "ms", "parse_xpath", "query_p50_ms on cold-twigs"),
     ("query.parses_per_request", "count", "parse_xpath calls / requests", "query_p50_ms on cold-twigs"),
     ("planner.execute_prepared_ms_p50", "ms", "TwigQueryEngine.execute_prepared",
@@ -53,11 +53,11 @@ LAYER_METRICS = (
      "query_p90_ms on cold-twigs"),
     ("planner.auto_rootpaths_share", "ratio", "auto_choice_counts", "query_qps_max on cold-twigs"),
     ("planner.auto_datapaths_share", "ratio", "auto_choice_counts", "query_qps_max on cold-twigs"),
-    ("kernels.join_calls_per_query", "count", "CompiledJoin.run + structural_join calls / requests",
+    ("kernels.join_calls_per_query", "count", "CompiledJoin.run calls / requests",
      "query_p50_ms on cold-twigs"),
-    ("kernels.join_ms_p50", "ms", "CompiledJoin.run + structural_join", "query_p50_ms on cold-twigs"),
+    ("kernels.join_ms_p50", "ms", "CompiledJoin.run", "query_p50_ms on cold-twigs"),
     ("kernels.column_rebuilds_per_write", "count", "NodeColumns builds / writes",
-     "write_p50_ms, query_p90_ms on churn-twigs"),
+     "write_p50_ms on all"),
     ("storage.weighted_cost_per_query", "count", "QueryResult.cost of executions / requests",
      "query_qps_max on cold-twigs"),
     ("storage.btree_node_reads_per_query", "count", "QueryResult.cost / requests", "query_qps_max on cold-twigs"),
@@ -65,18 +65,19 @@ LAYER_METRICS = (
      "query_qps_max on cold-twigs"),
     ("storage.join_probes_per_query", "count", "QueryResult.cost / requests", "query_qps_max on cold-twigs"),
     ("storage.maintenance_cost_per_write", "count", "engine stats diff around maintain_indexes / writes",
-     "write_p50_ms on churn-twigs"),
+     "write_p50_ms on all"),
     ("storage.btree_writes_per_write", "count", "engine stats diff around maintain_indexes / writes",
-     "write_p50_ms on churn-twigs"),
+     "write_p50_ms on all"),
     ("storage.btree_deletes_per_write", "count", "engine stats diff around maintain_indexes / writes",
-     "write_p50_ms on churn-twigs"),
-    ("indexes.maintain_ms_p50", "ms", "TwigQueryEngine.maintain_indexes", "write_p50_ms on churn-twigs"),
+     "write_p50_ms on all"),
+    ("indexes.maintain_ms_p50", "ms", "TwigQueryEngine.maintain_indexes", "write_p50_ms on all"),
     ("indexes.build_s", "s", "build_index x2 inside setup (median of setups)", "setup_s"),
     ("obs.spans_per_request", "count", "Telemetry.span calls / requests", "query_p50_ms on hot-twigs"),
     ("server.cpu_ms_per_query", "ms", "server process CPU time / requests, untraced", "query_qps_max on all"),
+    ("server.cpu_ms_per_write", "ms", "writer thread CPU time / writes", "write_p50_ms on all"),
     ("loadgen.late_p99_ms", "ms", "generator dispatch lateness, untraced open loop", "validity of the run"),
     ("client.query_p99_ms", "ms", "untraced open-loop latency from due time, whole phase",
-     "the tail: GIL hand-offs on hot-twigs, GC pauses on cold-twigs, flushes on churn-twigs"),
+     "the tail: GIL hand-offs on hot-twigs, GC pauses on cold-twigs"),
     ("bench.trace_overhead_ratio", "ratio", "traced / untraced query_p50_ms, same server",
      "nothing: the cost of tracing"),
 )
@@ -253,5 +254,8 @@ def layer_metrics(
         ) / queries,
         "server.cpu_ms_per_query": _ratio(
             _delta(after, before, "cpu_s") * _MS, served
+        ),
+        "server.cpu_ms_per_write": _ratio(
+            _delta(traced["after"], traced["before"], "write_cpu_s") * _MS, writes
         ),
     }

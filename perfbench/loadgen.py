@@ -194,25 +194,19 @@ class Client:
         return phase
 
 
-async def write_stream(
-    control: Control, cursor: int, limit: int, rate: float, phase: Phase,
-    until: Optional[asyncio.Event] = None,
-) -> int:
+async def write_stream(control: Control, cursor: int, limit: int, rate: float, phase: Phase) -> int:
     """Scheduled writes ``cursor, cursor + 1, ...`` on one stream, timed from due time.
 
     Writes go in schedule order and none is skipped, so the applied
-    writes are always a prefix of the schedule.  Stops at ``limit`` or
-    once ``until`` is set (the reads it runs beside ended); returns the
-    next cursor.
+    writes are always a prefix of the schedule.  Stops at ``limit``;
+    returns the next cursor.
     """
     start = time.perf_counter()
     for number in range(limit - cursor):
         due = start + number / rate
         delay = due - time.perf_counter()
         if delay > 0:
-            await _pause(delay, until)
-        if until is not None and until.is_set():
-            break
+            await asyncio.sleep(delay)
         phase.lateness.append(max(0.0, time.perf_counter() - due))
         try:
             await asyncio.wait_for(control.call(cmd="write", k=cursor), TIMEOUT_S)
@@ -227,17 +221,6 @@ async def write_stream(
             phase.record("ok", due, time.perf_counter() - due)
         cursor += 1
     return cursor
-
-
-async def _pause(seconds: float, until: Optional[asyncio.Event]) -> None:
-    """Sleep ``seconds``, or less if ``until`` is set meanwhile."""
-    if until is None:
-        await asyncio.sleep(seconds)
-        return
-    try:
-        await asyncio.wait_for(until.wait(), seconds)
-    except asyncio.TimeoutError:
-        pass
 
 
 async def _gather(*coroutines) -> None:

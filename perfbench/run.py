@@ -2,20 +2,27 @@
 
 Usage (from the root of a checkout)::
 
-    python3 perfbench/run.py --workload hot-twigs --seed 1 --seconds 16 --trace 0
+    python3 perfbench/run.py --workload hot-twigs --seed 1 --seconds 18 --trace 0
 
 The run generates its inputs from ``--seed``, checks every distinct
 query on a single ``TwigIndexDatabase`` (a seeded sample also against
 ``db.oracle``), starts ``serve.py`` as the server process, and drives
 it over HTTP from this process:
 
-* an open-loop phase at the workload's fixed rate (2/3 of ``--seconds``),
-  latency timed from each request's due time;
+* an open-loop phase at the workload's fixed rate (2/3 of ``--seconds``,
+  but at least 1000 requests), latency timed from each request's due time;
 * a closed-loop phase with every connection busy (the last third),
   giving ``query_qps_max``;
-* writes: beside the reads on ``churn-twigs``; as a separate phase
-  after the reads on the read-only workloads, so every workload reports
-  the write metrics without writes disturbing its reads.
+* a write phase after the reads (DBLP documents added, replaced and
+  removed), so every workload reports the write metrics without writes
+  disturbing its reads.
+
+These phases are one measurement.  It is invalid when the generator
+fell behind its schedule (``LATE_LIMIT_MS``) or the host took more
+than ``STEAL_LIMIT`` of the CPU time the run wanted (``/proc/stat``
+steal).  An invalid measurement is made again on the same server with
+fresh reads, up to ``inputs.ATTEMPTS`` times in all, and when no
+measurement of the run is valid the run exits 3 without a result.
 
 Every response's ids are checked.  ``--trace 1`` replaces the
 closed-loop phase with an identical open-loop phase run under the
@@ -33,6 +40,7 @@ import asyncio
 import gc
 import hashlib
 import inspect
+import itertools
 import json
 import os
 import random
@@ -53,6 +61,7 @@ from arith import (  # noqa: E402
     latencies_with_misses,
     percentile,
     percentile_or,
+    stolen_share,
     windowed_percentile,
     windowed_rate,
 )
@@ -73,10 +82,12 @@ E2E_METRICS = (
     ("index_mb", "MiB", "summed index_sizes_mb() after setup"),
 )
 
-#: Setups per run; ``setup_s`` is their median.
-SETUPS = 3
 #: Share of ``--seconds`` for the open-loop phase; the closed loop gets the rest.
 OPEN_SHARE = 2.0 / 3.0
+#: Requests of an open-loop phase at least, so its p99 (and the traced
+#: phase's per-layer p99s) have ten samples beyond them; at a low rate
+#: the phase runs longer than its share.
+OPEN_MIN_REQUESTS = 1000
 #: Percentiles are medians over windows of this many requests or
 #: writes, and the closed-loop rate a median over bins: a burst of
 #: outside noise (CPU steal on a shared host) spoils one window, not
@@ -86,21 +97,44 @@ WRITE_WINDOW = 100
 RATE_BIN_S = 1.0
 #: Reads sent before the clock to warm caches and check the served answers.
 COLD_WARMUP = 50
-#: A run whose generator dispatched later than this (p99) is invalid.
-LATE_LIMIT_MS = 50.0
-#: Distinct cold-twigs queries beyond the warm-up and two open-loop
-#: phases; the closed loop stops early if it runs out of them.
-COLD_SPARE = 2500
-#: Picks drawn for a hot closed loop.
-HOT_CLOSED_PICKS = 200_000
+#: A measurement whose generator dispatched later than this (p99) is
+#: invalid.  Calm runs on the 2-vCPU build machine stay at 2-5 ms.
+LATE_LIMIT_MS = 10.0
+#: A measurement during which the host took more than this share of
+#: the CPU time the guest wanted (``/proc/stat`` steal over steal +
+#: busy) is invalid: the figures would be the host's, not the
+#: program's.  Calm runs on the build machine steal 1-3 %.
+STEAL_LIMIT = 0.04
+#: Reads per measurement beyond its open phase, for the closed loop
+#: (or the traced phase); the closed loop stops early if it runs out.
+#: Cold-twigs reads are distinct queries, each answered by the
+#: reference before it is sent.
+COLD_CLOSED_READS = 3000
+HOT_CLOSED_READS = 50_000
 #: Queries checked against ``db.oracle`` before the clock.
 ORACLE_SAMPLE = 16
 #: A run still going this long after it started is aborted (the limit is 180 s).
 RUN_DEADLINE_S = 165.0
 
 
+def cpu_ticks() -> tuple[int, int]:
+    """``(steal, busy)`` CPU ticks of the machine so far, from ``/proc/stat``.
+
+    Busy is user + nice + system + irq + softirq: time the guest ran.
+    Steal is time it was runnable but the host ran someone else.
+    """
+    try:
+        with open("/proc/stat") as handle:
+            user, nice, system, _, _, irq, softirq, steal = (
+                int(value) for value in handle.readline().split()[1:9]
+            )
+    except (OSError, ValueError):
+        return (0, 0)
+    return (steal, user + nice + system + irq + softirq)
+
+
 class InvalidRun(Exception):
-    """The generator fell behind its schedule; the figures are not reported."""
+    """No measurement of the run was valid; the figures are not reported."""
 
 
 class Incorrect(Exception):
@@ -142,7 +176,7 @@ def provenance(args, workload, distinct: int) -> dict:
         "result_cache_size": defaults["result_cache_size"].default,
         "plan_cache_size": defaults["plan_cache_size"].default,
         "query_rate": workload.query_rate,
-        "write_rate": workload.churn_rate or inputs.WRITE_PHASE_RATE,
+        "write_rate": inputs.WRITE_PHASE_RATE,
         "connections": inputs.CONNECTIONS,
     }
 
@@ -154,15 +188,8 @@ class Bench:
         self.args = args
         self.workload = inputs.WORKLOADS[args.workload]
         self.open_s = args.seconds * OPEN_SHARE
-        self.open_count = int(self.workload.query_rate * self.open_s)
-        churn = self.workload.churn_rate
-        self.write_count = (
-            int(churn * args.seconds * 1.5) + 10 if churn else inputs.WRITE_PHASE_OPS
-        )
-        #: On churn-twigs the write stream is one of the connections.
-        self.read_connections = inputs.CONNECTIONS - (1 if churn else 0)
+        self.open_count = max(OPEN_MIN_REQUESTS, int(self.workload.query_rate * self.open_s))
         self.phases = []
-        self.write_phases = []
         self.write_cursor = 0
 
     # ------------------------------------------------------------------
@@ -172,30 +199,20 @@ class Bench:
         workload, seed = self.workload, self.args.seed
         self.reference = TwigIndexDatabase.from_documents(inputs.xmark_corpus(workload, seed))
         if workload.cold:
-            pool = inputs.cold_stream(workload, seed, COLD_WARMUP + 2 * self.open_count + COLD_SPARE)
-            self.warm = pool[:COLD_WARMUP]
-            self.open_streams = [
-                pool[COLD_WARMUP + i * self.open_count:COLD_WARMUP + (i + 1) * self.open_count]
-                for i in range(2)
-            ]
-            self.closed_stream = iter(pool[COLD_WARMUP + self.open_count:])
-            distinct = pool
+            self.warm = inputs.cold_stream(workload, seed, COLD_WARMUP)
         else:
-            distinct = inputs.hot_queries()
-            self.warm = distinct
-            picks = inputs.hot_stream(seed, 2 * self.open_count + HOT_CLOSED_PICKS)
-            self.open_streams = [picks[: self.open_count], picks[self.open_count: 2 * self.open_count]]
-            self.closed_stream = iter(picks[2 * self.open_count:])
-        self.expected = {
-            xpath: self.reference.query(xpath, strategy="rootpaths").ids for xpath in distinct
-        }
+            self.warm = inputs.hot_queries()
+        self.expected = {}
+        self.answer(self.warm)
+        self.first_reads = self.reads_for(0)
+        distinct = list(self.expected)
         rng = random.Random(f"oracle:{seed}")
         sample = rng.sample(distinct, min(ORACLE_SAMPLE, len(distinct)))
         for xpath in sample:
             if self.reference.oracle(xpath) != self.expected[xpath]:
                 raise Incorrect(f"reference disagrees with the oracle on {xpath}")
         # Writes never change a read's answer: no read matches a DBLP document.
-        schedule = inputs.write_schedule(seed, self.write_count)
+        schedule = inputs.write_schedule(seed, inputs.WRITE_COUNT)
         writes_only = TwigIndexDatabase.from_documents(
             [op.document() for op in schedule[:4] if op.op == "add"]
         )
@@ -205,6 +222,31 @@ class Bench:
         self.schedule = schedule
         self.provenance = provenance(self.args, workload, len(distinct))
 
+    def reads_for(self, attempt: int) -> list[str]:
+        """What measurement ``attempt`` sends, its open phase first, answered.
+
+        A later measurement sends reads no earlier one did: the next
+        stretch of the same seeded stream (a stream's first entries do
+        not depend on its length).
+        """
+        workload, seed = self.workload, self.args.seed
+        if workload.cold:
+            per_attempt = self.open_count + COLD_CLOSED_READS
+            start = COLD_WARMUP + attempt * per_attempt
+            reads = inputs.cold_stream(workload, seed, start + per_attempt)[start:]
+        else:
+            per_attempt = self.open_count + HOT_CLOSED_READS
+            start = attempt * per_attempt
+            reads = inputs.hot_stream(seed, start + per_attempt)[start:]
+        self.answer(reads)
+        return reads
+
+    def answer(self, xpaths) -> None:
+        """Reference answers of ``xpaths``, from the single engine."""
+        for xpath in xpaths:
+            if xpath not in self.expected:
+                self.expected[xpath] = self.reference.query(xpath, strategy="rootpaths").ids
+
     # ------------------------------------------------------------------
     # The server process
     # ------------------------------------------------------------------
@@ -212,7 +254,6 @@ class Bench:
         self.server = await asyncio.create_subprocess_exec(
             sys.executable, os.path.join(HERE, "serve.py"),
             "--workload", self.workload.name, "--seed", str(self.args.seed),
-            "--setups", str(SETUPS), "--writes", str(self.write_count),
             cwd=ROOT, stdin=asyncio.subprocess.PIPE, stdout=asyncio.subprocess.PIPE,
         )
         line = await asyncio.wait_for(self.server.stdout.readline(), 150)
@@ -240,76 +281,79 @@ class Bench:
         self.writer = await loadgen.Control("127.0.0.1", self.ready["control_port"]).open()
         self.client = loadgen.Client(self.expected)
         connections = [
-            await loadgen.Connection("127.0.0.1", port).open() for _ in range(self.read_connections)
+            await loadgen.Connection("127.0.0.1", port).open() for _ in range(inputs.CONNECTIONS)
         ]
         warm = loadgen.Phase("warm")
         for xpath in self.warm:
             await self.client.query(connections[0], xpath, warm, time.perf_counter())
         self.phases.append(warm)
-        self.counters = [await self._counters()]
-        self.open_phase = await self._with_churn(
-            self.client.open_loop(
-                connections, self.open_streams[0], self.workload.query_rate, loadgen.Phase("open")
-            ),
-            "open",
-        )
-        self.phases.append(self.open_phase)
-        self.counters.append(await self._counters())
-        if self.args.trace:
-            self.traced_from = len(self.write_phases)
-            await self.control.call(cmd="trace", on=True)
-            self.traced_phase = await self._with_churn(
-                self.client.open_loop(
-                    connections, self.open_streams[1], self.workload.query_rate,
-                    loadgen.Phase("traced"),
-                ),
-                "traced",
-            )
-            self.phases.append(self.traced_phase)
-        else:
-            self.closed_phase = await self._with_churn(
-                self.client.closed_loop(
-                    connections, lambda: next(self.closed_stream, None),
-                    self.args.seconds * (1.0 - OPEN_SHARE),
-                    loadgen.Phase("closed"),
-                ),
-                "closed",
-            )
-            self.phases.append(self.closed_phase)
-        if not self.workload.churn_rate:
-            self.write_phases.append(
-                await self._writes(self.write_count, inputs.WRITE_PHASE_RATE, "writes")
-            )
-        if self.args.trace:
-            reply = await self.control.call(cmd="trace", on=False)
-            self.spans, self.calls = reply["spans"], reply["calls"]
-        self.counters.append(await self._counters())
+        self.attempts = []
+        for attempt in range(inputs.ATTEMPTS):
+            # Stop while the run can still end in time after one more.
+            if attempt and time.perf_counter() + 1.3 * self.attempts[-1]["seconds"] > self.deadline:
+                break
+            # Made and answered before the clock.
+            reads = self.reads_for(attempt) if attempt else self.first_reads
+            started = time.perf_counter()
+            await self.measure(connections, attempt, reads)
+            invalid = self.invalid()
+            self.attempts.append({
+                "seconds": time.perf_counter() - started,
+                "stolen_share": self.stolen,
+                "late_p99_ms": self.late_p99_ms(),
+                "invalid": invalid,
+            })
+            if invalid is None:
+                break
         await self._check_writes(connections[0])
         for connection in connections:
             connection.close()
 
-    async def _with_churn(self, reads, label: str):
-        """Run a read phase, beside the write stream on churn-twigs."""
-        if not self.workload.churn_rate:
-            return await reads
-        done = asyncio.Event()
-        writes = asyncio.ensure_future(
-            self._writes(self.write_count, self.workload.churn_rate, f"churn-{label}", until=done)
+    async def measure(self, connections, attempt: int, reads: list[str]) -> None:
+        """One measurement: open loop, closed loop (or traced phase), writes."""
+        suffix = "" if attempt == 0 else f"#{attempt + 1}"
+        rate = self.workload.query_rate
+        rest = iter(reads[self.open_count:])
+        self.counters = [await self._counters()]
+        ticks = cpu_ticks()
+        self.open_phase = await self.client.open_loop(
+            connections, reads[: self.open_count], rate, loadgen.Phase("open" + suffix)
         )
-        try:
-            phase = await reads
-        finally:
-            done.set()
-            self.write_phases.append(await writes)
-        return phase
-
-    async def _writes(self, limit: int, rate: float, name: str, until=None):
-        phase = loadgen.Phase(name)
+        self.phases.append(self.open_phase)
+        self.counters.append(await self._counters())
+        if self.args.trace:
+            await self.control.call(cmd="trace", on=True)
+            self.traced_phase = await self.client.open_loop(
+                connections, list(itertools.islice(rest, self.open_count)), rate,
+                loadgen.Phase("traced" + suffix),
+            )
+            self.phases.append(self.traced_phase)
+        else:
+            self.closed_phase = await self.client.closed_loop(
+                connections, lambda: next(rest, None),
+                self.args.seconds * (1.0 - OPEN_SHARE),
+                loadgen.Phase("closed" + suffix),
+            )
+            self.phases.append(self.closed_phase)
+        self.write_phase = loadgen.Phase("writes" + suffix)
         self.write_cursor = await loadgen.write_stream(
-            self.writer, self.write_cursor, limit, rate, phase, until=until
+            self.writer, self.write_cursor, self.write_cursor + inputs.WRITE_PHASE_OPS,
+            inputs.WRITE_PHASE_RATE, self.write_phase,
         )
-        self.phases.append(phase)
-        return phase
+        self.phases.append(self.write_phase)
+        if self.args.trace:
+            reply = await self.control.call(cmd="trace", on=False)
+            self.spans, self.calls = reply["spans"], reply["calls"]
+        self.stolen = stolen_share(ticks, cpu_ticks())
+        self.counters.append(await self._counters())
+
+    def invalid(self):
+        """Why the last measurement is not the program's, or ``None``."""
+        if self.late_p99_ms() > LATE_LIMIT_MS:
+            return f"generator dispatch lateness p99 {self.late_p99_ms():.2f} ms > {LATE_LIMIT_MS} ms"
+        if self.stolen > STEAL_LIMIT:
+            return f"the host stole {self.stolen:.1%} of the CPU time > {STEAL_LIMIT:.0%}"
+        return None
 
     async def _counters(self) -> dict:
         return (await self.control.call(cmd="counters"))["counters"]
@@ -335,9 +379,7 @@ class Bench:
     # Figures
     # ------------------------------------------------------------------
     def late_p99_ms(self) -> float:
-        lateness = self.open_phase.lateness
-        # Below 1000 dispatches the strictest supported figure is the maximum.
-        return percentile_or(lateness, 0.99, default=max(lateness)) * 1000.0
+        return _late_p99_ms(self.open_phase.lateness)
 
     def latencies_ms(self, phase) -> list[float]:
         return [
@@ -346,7 +388,7 @@ class Bench:
 
     def end_to_end(self) -> dict[str, float]:
         queries = self.latencies_ms(self.open_phase)
-        writes = self.latencies_ms(_merged(self.write_phases))
+        writes = self.latencies_ms(self.write_phase)
         closed = self.closed_phase
         return {
             "setup_s": statistics.median(self.ready["setup_s"]),
@@ -360,12 +402,11 @@ class Bench:
         }
 
     def per_layer(self) -> tuple[dict[str, float], dict]:
-        writes = sum(phase.tally.sent for phase in self.write_phases[self.traced_from:])
         metrics = layer_metrics(
             self.spans,
             self.calls,
             self.traced_phase.round_trips,
-            writes,
+            self.write_phase.tally.sent,
             untraced={"before": self.counters[0], "after": self.counters[1]},
             traced={"before": self.counters[1], "after": self.counters[2]},
         )
@@ -391,12 +432,9 @@ class Bench:
         return metrics, accounting
 
 
-def _merged(phases):
-    merged = loadgen.Phase("+".join(phase.name for phase in phases))
-    for phase in phases:
-        merged.tally = merged.tally.merge(phase.tally)
-        merged.samples.extend(phase.samples)
-    return merged
+def _late_p99_ms(lateness) -> float:
+    # Below 1000 dispatches the strictest supported figure is the maximum.
+    return percentile_or(lateness, 0.99, default=max(lateness)) * 1000.0
 
 
 def _print_table(title: str, rows) -> None:
@@ -422,6 +460,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     bench = Bench(args)
     started = time.perf_counter()
+    # The last measurement must leave time to check, stop and report.
+    bench.deadline = started + RUN_DEADLINE_S - 15.0
     correct, error = True, None
     try:
         bench.prepare()
@@ -435,10 +475,9 @@ def main(argv=None) -> int:
             f"# wall: prepare {prepared - started:.1f} s, serve {time.perf_counter() - prepared:.1f} s",
             file=sys.stderr,
         )
-        if bench.late_p99_ms() > LATE_LIMIT_MS:
-            raise InvalidRun(
-                f"generator dispatch lateness p99 {bench.late_p99_ms():.2f} ms > {LATE_LIMIT_MS} ms"
-            )
+        print("# attempts " + json.dumps(bench.attempts), file=sys.stderr)
+        if bench.attempts[-1]["invalid"]:
+            raise InvalidRun("; ".join(attempt["invalid"] for attempt in bench.attempts))
         if args.trace:
             metrics, accounting = bench.per_layer()
             units = {name: unit for name, unit, _, _ in LAYER_METRICS}
@@ -460,6 +499,7 @@ def main(argv=None) -> int:
         "error": error,
         "metrics": metrics,
         "accounting": accounting,
+        "attempts": getattr(bench, "attempts", []),
         "layer_table": LAYER_METRICS,
         "end_to_end_table": E2E_METRICS,
     }
@@ -468,9 +508,10 @@ def main(argv=None) -> int:
     for phase in bench.phases:
         extra = ""
         if phase.lateness:
-            extra = f", generator late p99 {percentile_or(phase.lateness, 0.99) * 1000.0:.3f} ms"
+            extra = f", generator late p99 {_late_p99_ms(phase.lateness):.3f} ms"
         print(f"# phase {phase.name}: {json.dumps(vars(phase.tally))}{extra}")
     print(f"# failed_share {record['failed_share']:.6f} ratio ({failed} of {attempted})")
+    print("# attempts " + json.dumps(record["attempts"]))
     if accounting:
         print("# span accounting " + json.dumps(accounting))
     for name, value in metrics.items():

@@ -35,6 +35,8 @@ import inputs  # noqa: E402
 import spans  # noqa: E402
 
 INDEXES = ("rootpaths", "datapaths")
+#: Setups per run; ``setup_s`` is their median.
+SETUPS = 3
 
 
 async def build_stack(documents):
@@ -88,17 +90,24 @@ class Control:
         self.documents = [op.document() if op.op != "remove" else None for op in schedule]
         self.writer = ThreadPoolExecutor(max_workers=1, thread_name_prefix="bench-writer")
         self.recorder = None
+        self.write_cpu_s = 0.0
         self.stopped = asyncio.Event()
         self.connections: dict[asyncio.Task, asyncio.StreamWriter] = {}
 
     def _apply(self, index: int) -> None:
         op = self.schedule[index]
-        if op.op == "add":
-            self.service.add_document(self.documents[index])
-        elif op.op == "replace":
-            self.service.replace_document(op.name, self.documents[index])
-        else:
-            self.service.remove_document(op.name)
+        # A write runs on this thread alone, so its CPU time is the
+        # writer thread's; the run keeps it out of the per-query figure.
+        started = time.thread_time()
+        try:
+            if op.op == "add":
+                self.service.add_document(self.documents[index])
+            elif op.op == "replace":
+                self.service.replace_document(op.name, self.documents[index])
+            else:
+                self.service.remove_document(op.name)
+        finally:
+            self.write_cpu_s += time.thread_time() - started
 
     async def handle(self, message: dict) -> dict:
         command = message["cmd"]
@@ -111,7 +120,9 @@ class Control:
             )
             return {"ok": True}
         if command == "counters":
-            return {"ok": True, "counters": counters(self.service, self.frontdoor)}
+            report = counters(self.service, self.frontdoor)
+            report["write_cpu_s"] = self.write_cpu_s
+            return {"ok": True, "counters": report}
         if command == "trace":
             if message["on"]:
                 self.recorder = spans.Recorder()
@@ -151,20 +162,20 @@ class Control:
 async def main(args) -> None:
     workload = inputs.WORKLOADS[args.workload]
     setup_seconds, build_seconds = [], []
-    for attempt in range(args.setups):
+    for attempt in range(SETUPS):
         documents = inputs.xmark_corpus(workload, args.seed)
         gc.collect()
         service, frontdoor, server, elapsed, built = await build_stack(documents)
         setup_seconds.append(elapsed)
         build_seconds.append(built)
-        if attempt + 1 < args.setups:
+        if attempt + 1 < SETUPS:
             await server.stop()
             service.close()
             del service, frontdoor, server, documents
     index_mb = sum(service.collection.index_sizes_mb().values())
     # Earlier setups' garbage is not the served stack's: start it clean.
     gc.collect()
-    control = Control(service, frontdoor, inputs.write_schedule(args.seed, args.writes))
+    control = Control(service, frontdoor, inputs.write_schedule(args.seed, inputs.WRITE_COUNT))
     control_server = await asyncio.start_server(control.serve, "127.0.0.1", 0)
     ready = {
         "http_port": server.port,
@@ -195,6 +206,4 @@ if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True, choices=sorted(inputs.WORKLOADS))
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--setups", type=int, required=True)
-    parser.add_argument("--writes", type=int, required=True)
     asyncio.run(main(parser.parse_args()))

@@ -66,7 +66,7 @@ class Recorder:
         from repro.frontdoor.admission import AdmissionController
         from repro.frontdoor.server import FrontDoor
         from repro.kernels.columns import NodeColumns
-        from repro.kernels.join import CompiledJoin, structural_join
+        from repro.kernels.join import CompiledJoin
         from repro.obs.telemetry import Telemetry
         from repro.planner.evaluator import TwigQueryEngine
         from repro.query.parser import parse_xpath
@@ -91,7 +91,6 @@ class Recorder:
             before=_stats_before, after=_stats_after,
         )
         self._patch(CompiledJoin, "run", "kernels.join")
-        self._patch_function(structural_join, "kernels.join")
         self._patch(NodeColumns, "__init__", "kernels.columns")
         self._count(Telemetry, "span", "obs.span")
 

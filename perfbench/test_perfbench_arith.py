@@ -16,6 +16,7 @@ from arith import (
     percentile_or,
     quartile_spread,
     self_time,
+    stolen_share,
     supports,
     union_length,
     windowed_percentile,
@@ -141,6 +142,12 @@ def test_windowed_rate_counts_whole_bins_only():
     assert windowed_rate(times, 0.0, 3.7, 1.0) == 3.0
     with pytest.raises(ValueError):
         windowed_rate(times, 0.0, 0.5, 1.0)
+
+
+def test_stolen_share_is_steal_over_wanted_time():
+    # 30 ticks stolen while the guest ran 270: a tenth of what it wanted.
+    assert stolen_share((100, 1000), (130, 1270)) == pytest.approx(0.1)
+    assert stolen_share((5, 5), (5, 5)) == 0.0
 
 
 def test_quartile_spread_is_relative_to_the_median():
