@@ -301,7 +301,9 @@ _REASONS = {
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    413: "Content Too Large",
     429: "Too Many Requests",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
     503: "Service Unavailable",
 }
@@ -309,6 +311,15 @@ _REASONS = {
 #: Refuse request bodies past this size (a malformed content-length
 #: must not buffer unbounded memory).
 MAX_BODY_BYTES = 4 * 1024 * 1024
+
+
+class _MalformedRequest(FrontDoorError):
+    """A request the server answers with an error status, then closes."""
+
+    def __init__(self, status: int, code: str, message: str) -> None:
+        super().__init__(message)
+        self.status = status
+        self.code = code
 
 
 class FrontDoorServer:
@@ -367,7 +378,18 @@ class FrontDoorServer:
     ) -> None:
         try:
             while True:
-                parsed = await self._read_request(reader)
+                try:
+                    parsed = await self._read_request(reader)
+                except _MalformedRequest as error:
+                    # The stream position is unknown after a bad request,
+                    # so answer it and close rather than read on.
+                    self._write_response(
+                        writer,
+                        *self._json(error.status, error_body(error)),
+                        keep_alive=False,
+                    )
+                    await writer.drain()
+                    break
                 if parsed is None:
                     break
                 method, path, headers, body = parsed
@@ -396,26 +418,55 @@ class FrontDoorServer:
 
     @staticmethod
     async def _read_request(reader: asyncio.StreamReader):
-        request_line = await reader.readline()
+        """``(method, path, headers, body)``, or None on a clean EOF.
+
+        Raises :class:`_MalformedRequest` for a request line that is
+        not ``METHOD PATH HTTP/x`` (400), a header line past the
+        stream's 64 KiB line limit (431), and a ``Content-Length`` that
+        is not a non-negative integer (400) or exceeds
+        :data:`MAX_BODY_BYTES` (413).  ``readline`` reports a line past
+        the limit as a ``ValueError``.
+        """
+        try:
+            request_line = await reader.readline()
+        except ValueError as error:
+            raise _MalformedRequest(
+                400, "bad-request", "request line too long"
+            ) from error
         if not request_line:
             return None
         parts = request_line.decode("latin-1").split()
-        if len(parts) < 2:
-            raise asyncio.IncompleteReadError(request_line, None)
+        if len(parts) != 3 or not parts[2].startswith("HTTP/"):
+            raise _MalformedRequest(
+                400, "bad-request", f"malformed request line: {request_line[:80]!r}"
+            )
         method, path = parts[0].upper(), parts[1]
         headers: dict[str, str] = {}
-        while True:
-            line = await reader.readline()
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
+        try:
+            while True:
+                line = await reader.readline()
+                if line in (b"\r\n", b"\n", b""):
+                    break
+                name, _, value = line.decode("latin-1").partition(":")
+                headers[name.strip().lower()] = value.strip()
+        except ValueError as error:
+            raise _MalformedRequest(
+                431, "header-too-large", "a header line exceeds the 64 KiB line limit"
+            ) from error
         try:
             length = int(headers.get("content-length", "0") or "0")
         except ValueError:
             length = -1
-        if length < 0 or length > MAX_BODY_BYTES:
-            raise asyncio.IncompleteReadError(b"", None)
+        if length < 0:
+            raise _MalformedRequest(
+                400, "bad-request", "Content-Length is not a non-negative integer"
+            )
+        if length > MAX_BODY_BYTES:
+            raise _MalformedRequest(
+                413,
+                "body-too-large",
+                f"Content-Length {length} exceeds {MAX_BODY_BYTES} bytes",
+            )
         body = await reader.readexactly(length) if length else b""
         return method, path, headers, body
 

@@ -230,6 +230,11 @@ def normalize_xpath(text: str) -> str:
     :func:`parse_xpath` applies — so queries differing only in those
     details share one plan-cache entry.
     """
+    if text.isascii():
+        # Every quote the table rewrites is non-ASCII.  Cache keys are
+        # normalised on every query (and per shard by the scatter's
+        # cache peek), and the per-character translate dominates that.
+        return text.strip()
     return text.translate(_QUOTE_NORMALISATION).strip()
 
 

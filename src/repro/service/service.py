@@ -286,6 +286,22 @@ class QueryService(ServingFacade):
         """
         return self._current_generation()
 
+    def holds_result(self, xpath: str, strategy: str, options: dict) -> bool:
+        """Whether :meth:`execute` would answer from the result cache.
+
+        A peek, not a lookup: it takes no service lock and charges no
+        hit or miss (the cache's ``__contains__`` honours the TTL).  It
+        is True when the observed generation is current and the result
+        key is cached.  A write racing the peek can turn a True stale
+        before ``execute`` runs; that execute then simply misses, which
+        is correct.  The scatter tier uses it to decide which legs can
+        stay on the calling thread.
+        """
+        if self._generation != self._current_generation():
+            return False
+        key = self._result_key(xpath, strategy, options)
+        return key is not None and key in self.result_cache
+
     def _check_generation(self) -> None:
         current = self._current_generation()
         if self._generation is None:

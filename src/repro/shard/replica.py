@@ -194,6 +194,10 @@ class Shard:
         """The shard service's change fingerprint (lock-free read)."""
         return self.service.generation()
 
+    def holds_result(self, xpath: str, strategy: str, options: dict) -> bool:
+        """Whether this shard would answer the query from its result cache."""
+        return self.service.holds_result(xpath, strategy, options)
+
     def index_sizes_mb(self) -> dict[str, float]:
         return self.engine.index_sizes_mb()
 
@@ -827,6 +831,23 @@ class ReplicatedShard:
     def generation(self) -> tuple:
         """The primary's change fingerprint (replicas track it in lock-step)."""
         return self.primary.generation()
+
+    def holds_result(self, xpath: str, strategy: str, options: dict) -> bool:
+        """Whether every non-dead replica would answer from its result cache.
+
+        The picker may route the read to any replica that is not dead,
+        so only a set-wide hit is a hit.  (Under the ``sticky`` picker
+        a query warms one replica only, so its legs keep executing on
+        the scatter lanes.)  Health states are read
+        without the read lock: a stale state can only change whether
+        the scatter runs this leg on the calling thread, never the
+        answer.
+        """
+        return all(
+            replica.holds_result(xpath, strategy, options)
+            for replica, health in zip(self.replicas, self._health)
+            if health.state != REPLICA_DEAD
+        )
 
     def document_at(self, local_start: int) -> Document:
         return self.primary.document_at(local_start)

@@ -1,12 +1,17 @@
 """Scatter pools: how per-shard query legs map onto worker threads.
 
 :class:`~repro.shard.service.ShardedQueryService` evaluates one query
-by submitting one *leg* per relevant shard and gathering the partial
-answers.  Under a single caller any thread pool does; under the
-concurrent front door (:mod:`repro.frontdoor`) many queries scatter at
-once and the mapping of legs to threads decides whether the shards
-actually stay busy.  Two pools implement the same tiny surface
-(:meth:`ScatterPool.submit` / :meth:`ScatterPool.shutdown`):
+as one *leg* per relevant shard and gathers the partial answers.  Legs
+leave the calling thread only when two or more of them must execute.
+When at most one leg executes (every other shard holds the answer in
+its result cache, or there is only one target), all legs run on the
+caller, because a cache hit is cheaper than a thread hand-off.  When
+two or more legs execute, or the query bypasses the result cache, the
+legs are submitted to a pool.  Under a single caller any thread pool
+does; under the concurrent front door (:mod:`repro.frontdoor`) many
+queries scatter at once and the mapping of legs to threads decides
+whether the shards actually stay busy.  Two pools implement the same
+tiny surface (:meth:`ScatterPool.submit` / :meth:`ScatterPool.shutdown`):
 
 * :class:`PooledScatterPool` — the legacy shape: one shared
   ``ThreadPoolExecutor`` with ``num_shards`` workers.  Legs from all
@@ -22,8 +27,7 @@ actually stay busy.  Two pools implement the same tiny surface
   queues on *its shard's* lane, so legs from different concurrent
   queries interleave per shard in FIFO order and every shard is busy
   whenever any query has work for it; no worker ever blocks on a
-  foreign shard's lock.  This is the cross-query pipelining the ISSUE
-  calls for, and the default.
+  foreign shard's lock.  This cross-query pipelining is the default.
 
 Both pools hand back ordinary :class:`concurrent.futures.Future`
 objects; the service gathers them as-completed and cancels outstanding

@@ -375,7 +375,19 @@ class ShardedQueryService(ServingFacade):
         strategy_options: dict,
         query_id: Optional[str] = None,
     ) -> list[QueryResult]:
-        """Run the query on every target shard, in parallel past one.
+        """Run the query on every target shard; lanes only for real work.
+
+        Every leg runs on the calling thread when at most one of them
+        has to execute, that is when every other target shard would
+        answer from its result cache (:meth:`Shard.holds_result
+        <repro.shard.replica.Shard.holds_result>`, a lock-free,
+        counter-free peek).  A cache hit costs less than the thread
+        hand-off, and pure-Python legs never overlap under the GIL
+        anyway.  Two or more executing legs, or
+        ``use_result_cache=False``, go to the scatter pool's lanes.
+        Both paths run the same ``run(shard)``, so spans, cache
+        counters, failover and answers do not depend on the path.  A
+        write racing the peek only makes an inline leg execute.
 
         Routing through the shard surface (not ``shard.service``
         directly) is what lets a replicated shard fan the read out to
@@ -409,9 +421,10 @@ class ShardedQueryService(ServingFacade):
                 span.annotate(strategy=result.strategy, cached=result.cached)
                 return result
 
-        if len(targets) <= 1:
-            # No gain from thread hand-off for a pruned or single-shard
-            # scatter; run inline.
+        if len(targets) <= 1 or (
+            use_result_cache
+            and self._at_most_one_executes(targets, xpath, strategy, strategy_options)
+        ):
             return [run(shard) for shard, _ in targets]
         positions = {
             self.scatter_pool.submit(
@@ -437,6 +450,22 @@ class ShardedQueryService(ServingFacade):
         if first_error is not None:
             raise first_error
         return partials
+
+    @staticmethod
+    def _at_most_one_executes(
+        targets: list[tuple[Shard, Optional[list[DocumentPlacement]]]],
+        xpath: str,
+        strategy: str,
+        strategy_options: dict,
+    ) -> bool:
+        """True when at most one target shard misses its result cache."""
+        misses = 0
+        for shard, _ in targets:
+            if not shard.holds_result(xpath, strategy, strategy_options):
+                misses += 1
+                if misses > 1:
+                    return False
+        return True
 
     def _gather(
         self,

@@ -15,6 +15,9 @@ The contracts pinned here, roughly in pipeline order:
   answers, and a failing shard leg propagates its error from either;
 * **HTTP** — the stdlib server round-trips queries, serves the
   observability surface, and maps every rejection to its status code;
+  a request it cannot parse (bad request line, header line past the
+  line limit, bad or oversized Content-Length) gets 400/431/413 and a
+  closed connection;
 * **lifecycle** — services and the front door are context managers,
   and close is idempotent.
 
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -545,6 +549,69 @@ def test_http_server_end_to_end(service):
     assert drained["healthz"][0] == 503
     assert drained["query"] == (503, drained["query"][1])
     assert drained["query"][1]["error"] == "draining"
+
+
+def _raw_exchange(host: str, port: int, payload: bytes):
+    """Send raw bytes; read to EOF; return (status, JSON body).
+
+    Reading to EOF (under a socket timeout) pins that the server closed
+    the connection after answering.
+    """
+    with socket.create_connection((host, port), timeout=10) as sock:
+        sock.sendall(payload)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    head, _, body = b"".join(chunks).partition(b"\r\n\r\n")
+    assert b"Connection: close" in head
+    return int(head.split()[1]), json.loads(body)
+
+
+@pytest.mark.parametrize(
+    "payload, status, error",
+    [
+        (
+            b"POST /query HTTP/1.1\r\nX-Big: " + b"a" * (70 * 1024) + b"\r\n\r\n",
+            431,
+            "header-too-large",
+        ),
+        (
+            b"POST /query HTTP/1.1\r\nContent-Length: 999999999\r\n\r\n",
+            413,
+            "body-too-large",
+        ),
+        (b"POST /query HTTP/1.1\r\nContent-Length: -5\r\n\r\n", 400, "bad-request"),
+        (b"GARBAGE\r\n\r\n", 400, "bad-request"),
+        (b"GET / SMTP/1.0\r\n\r\n", 400, "bad-request"),
+        (b"GET /" + b"a" * (70 * 1024) + b" HTTP/1.1\r\n\r\n", 400, "bad-request"),
+    ],
+    ids=["header-line-too-long", "content-length-too-large", "negative-length",
+         "one-word-request-line", "not-http", "request-line-too-long"],
+)
+def test_http_malformed_requests_get_a_status_then_close(service, payload, status, error):
+    unhandled: list[dict] = []
+
+    async def main():
+        asyncio.get_running_loop().set_exception_handler(
+            lambda loop, context: unhandled.append(context)
+        )
+        with FrontDoor(service) as door:
+            server = FrontDoorServer(door)
+            host, port = await server.start()
+            loop = asyncio.get_running_loop()
+            answer = await loop.run_in_executor(None, _raw_exchange, host, port, payload)
+            # The server keeps serving well-formed requests afterwards.
+            healthy = await loop.run_in_executor(
+                None, _http, "GET", f"http://{host}:{port}/healthz"
+            )
+            await server.stop(drain=False)
+            return answer, healthy
+
+    (got_status, body), healthy = asyncio.run(main())
+    assert got_status == status
+    assert body["error"] == error and body["status"] == status
+    assert healthy[0] == 200
+    assert not unhandled, unhandled
 
 
 def test_http_documents_scope_rejected_on_single_engine():

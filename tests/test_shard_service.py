@@ -1,16 +1,21 @@
 """Sharded collection unit tests: placement, id translation, pruning,
-per-shard cache invalidation and cross-shard stats aggregation."""
+per-shard cache invalidation, cross-shard stats aggregation, and which
+scatter legs run on the calling thread (cached legs) versus the lanes."""
 
 from __future__ import annotations
+
+import threading
 
 import pytest
 
 from repro import ShardedCollection, ShardedQueryService, TwigIndexDatabase
 from repro.datasets import book_document, generate_xmark
 from repro.errors import DocumentError
+from repro.service.cache import LRUCache
 from repro.shard import (
     HashPlacement,
     PLACEMENT_POLICIES,
+    ReplicatedShard,
     RoundRobinPlacement,
     SizeBalancedPlacement,
     make_placement,
@@ -250,6 +255,217 @@ def test_empty_scatter_returns_empty_result():
     assert result.ids == [] and result.cost == {}
     assert result.strategy == "rootpaths"
     service.close()
+
+
+# ----------------------------------------------------------------------
+# Scatter placement: cached legs stay on the calling thread
+# ----------------------------------------------------------------------
+XPATH = "/site/people/person/name"
+
+
+class _LegRecorder:
+    """Counts scatter-pool submissions and records each leg's thread."""
+
+    def __init__(self, service: ShardedQueryService) -> None:
+        self.submits = 0
+        self.threads: list[int] = []
+        real_submit = service.scatter_pool.submit
+
+        def submit(*args):
+            self.submits += 1  # only ever called on the scattering thread
+            return real_submit(*args)
+
+        service.scatter_pool.submit = submit  # instance attr shadows the method
+        for shard in service.collection.shards:
+
+            def execute(*args, _real=shard.execute, **kwargs):
+                self.threads.append(threading.get_ident())
+                return _real(*args, **kwargs)
+
+            shard.execute = execute
+
+    def reset(self) -> None:
+        self.submits = 0
+        self.threads.clear()
+
+    def all_inline(self) -> bool:
+        return all(ident == threading.get_ident() for ident in self.threads)
+
+
+def _scatter_service(num_shards: int) -> ShardedQueryService:
+    service = ShardedQueryService.from_documents(
+        _named_docs(4), num_shards=num_shards, placement="round_robin"
+    )
+    service.build_index("rootpaths")
+    service.build_index("datapaths")
+    return service
+
+
+@pytest.mark.parametrize("num_shards", [2, 4])
+def test_warm_query_runs_every_leg_on_the_calling_thread(num_shards):
+    with _scatter_service(num_shards) as service:
+        expected = service.oracle(XPATH)
+        recorder = _LegRecorder(service)
+        cold = service.execute(XPATH)
+        # The first execution misses on every shard: one lane leg each.
+        assert recorder.submits == num_shards
+        assert len(recorder.threads) == num_shards
+        assert not cold.cached
+
+        recorder.reset()
+        warm = service.execute(XPATH)
+        assert recorder.submits == 0
+        assert len(recorder.threads) == num_shards and recorder.all_inline()
+        assert warm.cached and warm.ids == cold.ids == expected
+
+
+@pytest.mark.parametrize("num_shards", [2, 4])
+def test_uncached_queries_still_use_the_lanes(num_shards):
+    with _scatter_service(num_shards) as service:
+        service.execute(XPATH)  # warm every shard
+        recorder = _LegRecorder(service)
+        result = service.execute(XPATH, use_result_cache=False)
+        assert recorder.submits == num_shards
+        assert not any(ident == threading.get_ident() for ident in recorder.threads)
+        assert not result.cached and result.ids == service.oracle(XPATH)
+
+
+def test_one_executing_leg_runs_inline_two_go_to_the_lanes():
+    with _scatter_service(4) as service:
+        service.execute(XPATH)
+        recorder = _LegRecorder(service)
+        # Ordinal 4 lands on shard 0: only that leg has to execute.
+        service.add_document(generate_xmark(scale=0.01, seed=900, name="doc-4"))
+        one_miss = service.execute(XPATH)
+        assert recorder.submits == 0 and recorder.all_inline()
+        assert not one_miss.cached and one_miss.ids == service.oracle(XPATH)
+
+        # Ordinals 5 and 6 land on shards 1 and 2: two legs execute.
+        recorder.reset()
+        for seed, name in ((901, "doc-5"), (902, "doc-6")):
+            service.add_document(generate_xmark(scale=0.01, seed=seed, name=name))
+        two_misses = service.execute(XPATH)
+        assert recorder.submits == 4
+        assert two_misses.ids == service.oracle(XPATH)
+
+
+def _span_shape(span) -> tuple:
+    """A span subtree without timings, children in a canonical order."""
+    children = sorted((_span_shape(child) for child in span.children), key=repr)
+    return (span.name, tuple(sorted(span.attributes.items())), tuple(children))
+
+
+def _cache_counters(service: ShardedQueryService) -> dict[str, int]:
+    caches = service.describe()["caches"]
+    return {
+        f"{name}.{counter}": caches[name][counter]
+        for name in caches
+        for counter in ("hits", "misses", "size")
+    }
+
+
+def _counter_delta(service: ShardedQueryService, action) -> dict[str, int]:
+    before = _cache_counters(service)
+    action()
+    after = _cache_counters(service)
+    return {key: after[key] - before[key] for key in after}
+
+
+def test_inline_and_lane_hits_trace_and_count_alike():
+    with _scatter_service(2) as service:
+        service.execute(XPATH)
+        recorder = _LegRecorder(service)
+
+        def traced_hit(query_id):
+            service.execute(XPATH, query_id=query_id)
+            (trace,) = [
+                t
+                for t in service.traces()
+                if t.root.attributes.get("query_id") == query_id
+            ]
+            return trace.root
+
+        inline_counts = _counter_delta(service, lambda: traced_hit("q-hit"))
+        inline_root = traced_hit("q-hit-again")
+        assert recorder.submits == 0
+        # Force the same warm hits through the lanes.
+        service._at_most_one_executes = lambda *args: False
+        lane_counts = _counter_delta(service, lambda: traced_hit("q-lane"))
+        lane_root = traced_hit("q-lane-again")
+        assert recorder.submits == 4
+
+    assert inline_counts == lane_counts
+    assert inline_counts["result_cache.hits"] == 2
+    assert inline_counts["result_cache.misses"] == 0
+    for root in (inline_root, lane_root):
+        del root.attributes["query_id"]
+        (scatter,) = root.find("scatter")
+        for shard_span in scatter.find("shard"):
+            (engine_query,) = shard_span.find("query")
+            del engine_query.attributes["query_id"]
+            assert engine_query.find("plan")
+            (lookup,) = engine_query.find("cache-lookup")
+            assert lookup.attributes["outcome"] == "hit"
+    assert _span_shape(inline_root) == _span_shape(lane_root)
+
+
+# ----------------------------------------------------------------------
+# holds_result: the counter-free peek behind the scatter decision
+# ----------------------------------------------------------------------
+def _result_counters(service) -> tuple[int, int]:
+    return service.result_cache.hits, service.result_cache.misses
+
+
+def test_holds_result_tracks_writes_and_never_counts():
+    database = TwigIndexDatabase.from_documents(_named_docs(2))
+    database.build_index("rootpaths")
+    service = database.service
+    assert not service.holds_result(XPATH, "auto", {})
+    service.execute(XPATH)
+    counters = _result_counters(service)
+    assert service.holds_result(XPATH, "auto", {})
+    assert service.holds_result(f"  {XPATH} ", "auto", {})  # normalized key
+    assert not service.holds_result(XPATH, "rootpaths", {})
+    assert not service.holds_result(XPATH, "auto", {"opt": []})  # unhashable
+    assert _result_counters(service) == counters
+
+    service.add_document(generate_xmark(scale=0.01, seed=950, name="late"))
+    assert not service.holds_result(XPATH, "auto", {})
+    # A write that bypasses the service still moves the generation.
+    service.execute(XPATH)
+    assert service.holds_result(XPATH, "auto", {})
+    database.engine.add_document(generate_xmark(scale=0.01, seed=951, name="raw"))
+    assert not service.holds_result(XPATH, "auto", {})
+    assert _result_counters(service) == (counters[0], counters[1] + 1)
+
+
+def test_holds_result_honours_the_ttl_without_counting():
+    database = TwigIndexDatabase.from_documents(_named_docs(1))
+    database.build_index("rootpaths")
+    service = database.service
+    clock = [0.0]
+    service.result_cache = LRUCache(16, ttl_seconds=5.0, clock=lambda: clock[0])
+    service.execute(XPATH)
+    assert service.holds_result(XPATH, "auto", {})
+    clock[0] = 5.0
+    assert not service.holds_result(XPATH, "auto", {})
+    assert _result_counters(service) == (0, 1)
+    assert service.result_cache.expiries == 1
+
+
+def test_replicated_holds_result_needs_every_live_replica():
+    shard = ReplicatedShard(0, replicas=3)
+    for document in _named_docs(2):
+        shard.add_document(document)
+    shard.build_index("rootpaths")
+    shard.replicas[0].execute(XPATH)
+    shard.replicas[2].execute(XPATH)
+    assert shard.replicas[0].holds_result(XPATH, "auto", {})
+    assert not shard.holds_result(XPATH, "auto", {})  # replica 1 is cold
+    shard._quarantine(1, "test: replica 1 down")
+    assert shard.holds_result(XPATH, "auto", {})
+    shard.replicas[2].invalidate()
+    assert not shard.holds_result(XPATH, "auto", {})
 
 
 # ----------------------------------------------------------------------
